@@ -13,7 +13,6 @@
 //	dvcheck -seeds 32 -seed0 100     # seed sweep
 //	dvcheck -faults drop,corrupt     # fault classes (see -faults help below)
 //	dvcheck -cycle                   # cycle-accurate switch (per-cycle sweep)
-//	dvcheck -cycle -dense            # ...through the dense reference stepper
 //	dvcheck -list                    # apps and fault classes
 //	dvcheck -v                       # per-run detail
 //
@@ -100,7 +99,6 @@ func main() {
 	seed0 := flag.Uint64("seed0", 1, "first seed of the sweep")
 	faultsFlag := flag.String("faults", "none", "comma-separated fault classes (see -list)")
 	cycle := flag.Bool("cycle", false, "route DV through the cycle-accurate switch core")
-	dense := flag.Bool("dense", false, "with -cycle: use the dense reference stepper")
 	list := flag.Bool("list", false, "list apps and fault classes, then exit")
 	verbose := flag.Bool("v", false, "log every run, not just violations")
 	flag.Parse()
@@ -204,9 +202,6 @@ matrix:
 						if *cycle {
 							hint += " -cycle"
 						}
-						if *dense {
-							hint += " -dense"
-						}
 						if *nodesFlag > 0 {
 							hint += fmt.Sprintf(" -nodes %d", *nodesFlag)
 						}
@@ -225,7 +220,6 @@ matrix:
 						Nodes:         a.RefNodes,
 						Seed:          seed,
 						CycleAccurate: *cycle,
-						DenseSwitch:   *dense,
 						DVPlanes:      *planesFlag,
 						PlanePolicy:   *policyFlag,
 						Check:         check.All(),

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/apps/gups"
+	"repro/internal/comm"
 	"repro/internal/trace"
 )
 
@@ -80,9 +81,9 @@ func main() {
 		UpdatesPerNode: *updates,
 		Trace:          rec,
 	}
-	net := gups.IB
+	net := comm.IB
 	if *netName == "dv" {
-		net = gups.DV
+		net = comm.DV
 	}
 	r := gups.Run(net, par)
 	f, err := os.Create(*out)

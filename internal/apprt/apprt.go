@@ -42,21 +42,6 @@ type RunSpec struct {
 	// CycleAccurate routes Data Vortex packets through the cycle-level
 	// switch engine instead of the calibrated fast model.
 	CycleAccurate bool
-	// DenseSwitch selects the dense full-fabric scan of the cycle-accurate
-	// core (cross-checking knob; bit-identical to the sparse stepper).
-	DenseSwitch bool
-	// ScalarBoundary routes VIC traffic over the legacy one-event-per-packet
-	// inject/eject boundary (cross-checking knob; bit-identical to the
-	// batched pipeline).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel, n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Reports are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (0 = dvswitch.DefaultParMinFlying, negative = fan every cycle).
-	ParMinFlying int
 	// VICsPerNode attaches multiple Data Vortex rails per node.
 	VICsPerNode int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes behind
@@ -137,10 +122,6 @@ func Execute(spec RunSpec, kernel Kernel) Report {
 	}
 	cfg.Stacks = spec.Net.Stacks()
 	cfg.CycleAccurate = spec.CycleAccurate
-	cfg.DenseSwitch = spec.DenseSwitch
-	cfg.ScalarBoundary = spec.ScalarBoundary
-	cfg.Workers = spec.Workers
-	cfg.ParMinFlying = spec.ParMinFlying
 	cfg.VICsPerNode = spec.VICsPerNode
 	cfg.DVPlanes = spec.DVPlanes
 	pol, err := dvswitch.ParsePlanePolicy(spec.PlanePolicy)

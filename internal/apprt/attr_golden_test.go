@@ -72,29 +72,22 @@ func TestAttrGoldenDiff(t *testing.T) {
 // TestAttrGoldenDiffCycleAccurate repeats the golden diff through the
 // cycle-level switch core — where the heatmap hook rides the deflection
 // branches of the hand-inlined move loops — for a representative irregular
-// workload on both core variants.
+// workload. The dense reference scan is held to the same heat census by
+// dvswitch's TestHeatCensusMatchesStats.
 func TestAttrGoldenDiffCycleAccurate(t *testing.T) {
 	a, ok := apprt.Get("gups")
 	if !ok {
 		t.Fatal("gups not registered")
 	}
-	for _, dense := range []bool{false, true} {
-		dense := dense
-		name := "sparse"
-		if dense {
-			name = "dense"
+	t.Run("sparse", func(t *testing.T) {
+		spec := confSpec(a, comm.DV, false)
+		spec.CycleAccurate = true
+		plain, traced := runAttrPair(t, a, spec)
+		assertAttrGolden(t, plain, traced)
+		if traced.Cluster.Attr.Heat == nil {
+			t.Error("cycle-accurate run produced no deflection heatmap")
 		}
-		t.Run(name, func(t *testing.T) {
-			spec := confSpec(a, comm.DV, false)
-			spec.CycleAccurate = true
-			spec.DenseSwitch = dense
-			plain, traced := runAttrPair(t, a, spec)
-			assertAttrGolden(t, plain, traced)
-			if traced.Cluster.Attr.Heat == nil {
-				t.Error("cycle-accurate run produced no deflection heatmap")
-			}
-		})
-	}
+	})
 }
 
 // TestAttrGoldenDiffUnderFaults repeats the golden diff for the

@@ -1,8 +1,7 @@
 // End-to-end workload benchmarks at the conformance reference size: one
 // full harness run per iteration (cluster construction, SPMD kernels, fabric
-// traffic, report assembly). These are the numbers the VIC↔switch boundary
-// batching is judged by — microbenchmarks prove the seam is cheap, these
-// prove the win survives a whole irregular application.
+// traffic, report assembly). Microbenchmarks prove the VIC↔switch seam is
+// cheap; these prove it stays cheap inside a whole irregular application.
 
 package apprt_test
 
@@ -14,13 +13,12 @@ import (
 	"repro/internal/comm"
 )
 
-func benchApp(b *testing.B, name string, scalar bool) {
+func benchApp(b *testing.B, name string) {
 	a, ok := apprt.Get(name)
 	if !ok {
 		b.Fatalf("%s not registered", name)
 	}
 	spec := confSpec(a, comm.DV, false)
-	spec.ScalarBoundary = scalar
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -31,15 +29,8 @@ func benchApp(b *testing.B, name string, scalar bool) {
 }
 
 // BenchmarkAppGUPS runs GUPS at its reference size on the Data Vortex
-// backend over the batched boundary (the default).
-func BenchmarkAppGUPS(b *testing.B) { benchApp(b, "gups", false) }
+// backend.
+func BenchmarkAppGUPS(b *testing.B) { benchApp(b, "gups") }
 
-// BenchmarkAppGUPSScalar is the same run over the legacy scalar boundary,
-// so the end-to-end effect of batching is one benchstat diff away.
-func BenchmarkAppGUPSScalar(b *testing.B) { benchApp(b, "gups", true) }
-
-// BenchmarkAppBFS runs BFS at its reference size (batched boundary).
-func BenchmarkAppBFS(b *testing.B) { benchApp(b, "bfs", false) }
-
-// BenchmarkAppBFSScalar is the scalar-boundary baseline for BFS.
-func BenchmarkAppBFSScalar(b *testing.B) { benchApp(b, "bfs", true) }
+// BenchmarkAppBFS runs BFS at its reference size on the Data Vortex backend.
+func BenchmarkAppBFS(b *testing.B) { benchApp(b, "bfs") }

@@ -62,17 +62,6 @@ type Opts struct {
 	// forever and the run ends when the event queue drains, which Completed
 	// likewise exposes.
 	WaitTimeout sim.Time
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -126,18 +115,15 @@ func RunOpts(impl Impl, nodes, iters int, opts Opts) Result {
 	errs := 0
 	var total sim.Time
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          nodes,
-		ScalarBoundary: opts.ScalarBoundary,
-		Workers:        opts.Workers,
-		ParMinFlying:   opts.ParMinFlying,
-		DVPlanes:       opts.DVPlanes,
-		PlanePolicy:    opts.PlanePolicy,
-		IBScaled:       opts.IBScaled,
-		Faults:         opts.Faults,
-		Check:          opts.Check,
-		Attr:           opts.Attr,
-		Checkpoint:     opts.Checkpoint,
+		Net:         net,
+		Nodes:       nodes,
+		DVPlanes:    opts.DVPlanes,
+		PlanePolicy: opts.PlanePolicy,
+		IBScaled:    opts.IBScaled,
+		Faults:      opts.Faults,
+		Check:       opts.Check,
+		Attr:        opts.Attr,
+		Checkpoint:  opts.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		// Each bar() reports whether the barrier completed; a node whose
 		// barrier gave up stops iterating, leaving its progress visible in

@@ -23,19 +23,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
-)
-
 // Params configures a run.
 type Params struct {
 	Nodes int
@@ -45,17 +32,6 @@ type Params struct {
 	KeepResult bool
 	// CycleAccurate routes packets through the cycle-level switch.
 	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -88,7 +64,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	N       int
 	Elapsed sim.Time
@@ -150,7 +126,7 @@ func SerialReference(par Params) []complex128 {
 }
 
 // Run executes the benchmark.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
 	n1, n2 := geometry(par.LogN, par.Nodes)
 	res := Result{Net: net, Nodes: par.Nodes, N: n1 * n2}
@@ -159,20 +135,17 @@ func Run(net Net, par Params) Result {
 		rows = make([][]complex128, par.Nodes)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		IBAdaptive:     par.IBAdaptive,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:           net,
+		Nodes:         par.Nodes,
+		Seed:          par.Seed,
+		CycleAccurate: par.CycleAccurate,
+		DVPlanes:      par.DVPlanes,
+		PlanePolicy:   par.PlanePolicy,
+		IBScaled:      par.IBScaled,
+		IBAdaptive:    par.IBAdaptive,
+		Check:         par.Check,
+		Attr:          par.Attr,
+		Checkpoint:    par.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		out, d := runNode(n, be, net, par, n1, n2)
 		if par.KeepResult {
@@ -192,7 +165,7 @@ func Run(net Net, par Params) Result {
 
 // runNode executes the six-step FFT on one node and returns its slab of the
 // final spectrum (rows k1 ∈ [id·n1/P, ...)) and the measured time.
-func runNode(n *cluster.Node, be comm.Backend, net Net, par Params, n1, n2 int) ([]complex128, sim.Time) {
+func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params, n1, n2 int) ([]complex128, sim.Time) {
 	p := par.Nodes
 	rowsA := n1 / p // rows of the n1×n2 matrix per node
 	rowsB := n2 / p // rows of the transposed n2×n1 matrix per node
@@ -207,7 +180,7 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params, n1, n2 int) 
 	}
 
 	var tp *transposer
-	if net == DV {
+	if net == comm.DV {
 		tp = newTransposer(be, n1, n2)
 	}
 	be.Barrier()
@@ -244,8 +217,8 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params, n1, n2 int) 
 
 // transpose redistributes an r×c matrix (rows split over nodes) into its c×r
 // transpose (rows split over nodes).
-func transpose(n *cluster.Node, be comm.Backend, net Net, tp *transposer, local []complex128, r, c int) []complex128 {
-	if net == DV {
+func transpose(n *cluster.Node, be comm.Backend, net comm.Net, tp *transposer, local []complex128, r, c int) []complex128 {
+	if net == comm.DV {
 		return tp.run(n, be, local, r, c)
 	}
 	return mpiTranspose(n, be, local, r, c)

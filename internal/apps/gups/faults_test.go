@@ -3,6 +3,7 @@ package gups
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
@@ -17,7 +18,7 @@ func TestSmokeReliableUnderFaults(t *testing.T) {
 		Window: faultplan.Window{Start: 5 * sim.Microsecond}}
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1,
 		KeepTables: true, Faults: plan, Reliable: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	if bad := verifyRun(t, par, r); bad != 0 {
 		t.Fatalf("reliable run has %d wrong words", bad)
 	}
@@ -35,7 +36,7 @@ func TestSmokeUnprotectedUnderFaults(t *testing.T) {
 		Window: faultplan.Window{Start: 5 * sim.Microsecond}}
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1,
 		KeepTables: true, Faults: plan, WaitTimeout: 2 * sim.Millisecond}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	t.Logf("elapsed %v lost %d dropped %d", r.Elapsed, r.Lost, r.Report.Dropped)
 	if r.Lost == 0 {
 		t.Error("expected lost updates on unprotected path")
@@ -44,13 +45,13 @@ func TestSmokeUnprotectedUnderFaults(t *testing.T) {
 
 func TestSmokeCleanStillExact(t *testing.T) {
 	par := Params{Nodes: 4, TableWordsNode: 1 << 10, UpdatesPerNode: 1 << 10, Seed: 1, KeepTables: true}
-	r := Run(DV, par)
+	r := Run(comm.DV, par)
 	if bad := verifyRun(t, par, r); bad != 0 {
 		t.Fatalf("clean run has %d wrong words", bad)
 	}
 	par2 := par
 	par2.Reliable = true
-	r2 := Run(DV, par2)
+	r2 := Run(comm.DV, par2)
 	if bad := verifyRun(t, par2, r2); bad != 0 {
 		t.Fatalf("clean reliable run has %d wrong words", bad)
 	}

@@ -27,19 +27,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the HPCC MPI implementation over InfiniBand.
-	IB = comm.IB
-)
-
 // Params configures a run.
 type Params struct {
 	Nodes          int
@@ -51,17 +38,6 @@ type Params struct {
 	KeepTables bool
 	// CycleAccurate routes packets through the cycle-level switch.
 	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -116,7 +92,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Updates int64 // total updates applied
 	Elapsed sim.Time
@@ -190,7 +166,7 @@ func Verify(par Params, r Result) int {
 }
 
 // Run executes the benchmark and returns the measurement.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
 	res := Result{Net: net, Nodes: par.Nodes, Updates: int64(par.Nodes) * int64(par.UpdatesPerNode)}
 	if par.KeepTables {
@@ -198,30 +174,27 @@ func Run(net Net, par Params) Result {
 	}
 	var sentRemote, drained int64
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		IBAdaptive:     par.IBAdaptive,
-		Reliable:       par.Reliable,
-		WaitTimeout:    par.WaitTimeout,
-		Faults:         par.Faults,
-		Trace:          par.Trace,
-		Obs:            par.Obs,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:           net,
+		Nodes:         par.Nodes,
+		Seed:          par.Seed,
+		CycleAccurate: par.CycleAccurate,
+		DVPlanes:      par.DVPlanes,
+		PlanePolicy:   par.PlanePolicy,
+		IBScaled:      par.IBScaled,
+		IBAdaptive:    par.IBAdaptive,
+		Reliable:      par.Reliable,
+		WaitTimeout:   par.WaitTimeout,
+		Faults:        par.Faults,
+		Trace:         par.Trace,
+		Obs:           par.Obs,
+		Check:         par.Check,
+		Attr:          par.Attr,
+		Checkpoint:    par.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		table := make([]uint64, par.TableWordsNode)
 		var d sim.Time
 		switch {
-		case net != DV:
+		case net != comm.DV:
 			d = runMPI(n, be, par, table)
 		case par.Reliable:
 			var errs int

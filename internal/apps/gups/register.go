@@ -23,9 +23,6 @@ func init() {
 				Seed:           spec.Seed,
 				KeepTables:     true,
 				CycleAccurate:  spec.CycleAccurate,
-				ScalarBoundary: spec.ScalarBoundary,
-				Workers:        spec.Workers,
-				ParMinFlying:   spec.ParMinFlying,
 				DVPlanes:       spec.DVPlanes,
 				PlanePolicy:    spec.PlanePolicy,
 				IBScaled:       spec.IBScaled,

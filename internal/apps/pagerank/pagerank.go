@@ -25,19 +25,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation (over the shmem layer).
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
-)
-
 // Params configures a run.
 type Params struct {
 	Nodes      int
@@ -51,17 +38,6 @@ type Params struct {
 	KeepRanks bool
 	// CycleAccurate routes packets through the cycle-level switch.
 	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -104,7 +80,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Iters   int
 	Delta   float64 // final L1 change
@@ -200,7 +176,7 @@ func SerialReference(par Params) []float64 {
 }
 
 // Run executes the benchmark.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
 	if (int64(1)<<par.Scale)%int64(par.Nodes) != 0 {
 		panic(fmt.Sprintf("pagerank: 2^%d vertices not divisible over %d nodes", par.Scale, par.Nodes))
@@ -210,19 +186,16 @@ func Run(net Net, par Params) Result {
 		res.Ranks = make([]float64, int64(1)<<par.Scale)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:           net,
+		Nodes:         par.Nodes,
+		Seed:          par.Seed,
+		CycleAccurate: par.CycleAccurate,
+		DVPlanes:      par.DVPlanes,
+		PlanePolicy:   par.PlanePolicy,
+		IBScaled:      par.IBScaled,
+		Check:         par.Check,
+		Attr:          par.Attr,
+		Checkpoint:    par.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		iters, delta, elapsed, ranks := runNode(n, be, net, par)
 		if n.ID == 0 {
@@ -239,7 +212,7 @@ func Run(net Net, par Params) Result {
 	return res
 }
 
-func runNode(n *cluster.Node, be comm.Backend, net Net, par Params) (int, float64, sim.Time, []float64) {
+func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (int, float64, sim.Time, []float64) {
 	adjOff, adj, outDeg, perNode := outEdges(par, n.ID)
 	nv := int64(1) << par.Scale
 	lo := int64(n.ID) * perNode
@@ -254,12 +227,12 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params) (int, float6
 
 	var ctx *shmem.Ctx
 	var slab shmem.Sym // [src][localV] contribution slots
-	if net == DV {
+	if net == comm.DV {
 		ctx = shmem.New(be.Endpoint())
 		slab = ctx.Malloc(p * int(perNode))
 	}
 	barrier := func() {
-		if net == DV {
+		if net == comm.DV {
 			ctx.Barrier()
 		} else {
 			be.Barrier()
@@ -269,7 +242,7 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params) (int, float6
 	// variants stay bit-identical (a tree allreduce would reorder the sum).
 	sumAll := func(v float64) float64 {
 		var sum float64
-		if net == DV {
+		if net == comm.DV {
 			for _, w := range ctx.Gather(v) {
 				sum += w
 			}
@@ -307,7 +280,7 @@ func runNode(n *cluster.Node, be comm.Backend, net Net, par Params) (int, float6
 
 		// Exchange: deliver my per-destination slices.
 		recvSum := make([]float64, perNode)
-		if net == DV {
+		if net == comm.DV {
 			for q := 0; q < p; q++ {
 				if q == n.ID {
 					continue

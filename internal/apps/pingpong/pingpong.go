@@ -101,17 +101,6 @@ type Params struct {
 	// Rails stripes the transfer across multiple VICs per node (multi-rail
 	// Data Vortex; the paper notes nodes carry "at least one" VIC).
 	Rails int
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -141,19 +130,16 @@ func Run(mode Mode, par Params) Result {
 	}
 	var total sim.Time
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            mode.net(),
-		Nodes:          2,
-		Seed:           par.Seed + 1,
-		VICsPerNode:    par.Rails,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:         mode.net(),
+		Nodes:       2,
+		Seed:        par.Seed + 1,
+		VICsPerNode: par.Rails,
+		DVPlanes:    par.DVPlanes,
+		PlanePolicy: par.PlanePolicy,
+		IBScaled:    par.IBScaled,
+		Check:       par.Check,
+		Attr:        par.Attr,
+		Checkpoint:  par.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		var d sim.Time
 		if mode == MPIIB {

@@ -27,19 +27,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
-)
-
 // Params configures a run.
 type Params struct {
 	Nodes int
@@ -60,17 +47,6 @@ type Params struct {
 	KeepFlux bool
 	// CycleAccurate routes packets through the cycle-level switch.
 	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -131,7 +107,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Iters   int
 	Err     float64 // final iteration change
@@ -195,7 +171,7 @@ var octants = [8][3]int{
 }
 
 // Run executes the solver.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
 	py, pz := DecomposeYZ(par.Nodes)
 	if par.NY%py != 0 || par.NZ%pz != 0 {
@@ -212,19 +188,16 @@ func Run(net Net, par Params) Result {
 		res.Flux = make([]float64, par.Groups*par.NX*par.NY*par.NZ)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:           net,
+		Nodes:         par.Nodes,
+		Seed:          par.Seed,
+		CycleAccurate: par.CycleAccurate,
+		DVPlanes:      par.DVPlanes,
+		PlanePolicy:   par.PlanePolicy,
+		IBScaled:      par.IBScaled,
+		Check:         par.Check,
+		Attr:          par.Attr,
+		Checkpoint:    par.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		s := newSolver(n, be, net, par, py, pz)
 		iters, err, bal := s.solve()
@@ -245,7 +218,7 @@ func Run(net Net, par Params) Result {
 type solver struct {
 	n      *cluster.Node
 	be     comm.Backend
-	net    Net
+	net    comm.Net
 	par    Params
 	py, pz int
 	cy, cz int // process coordinates
@@ -272,7 +245,7 @@ type solver struct {
 	coll   *dv.Collective
 }
 
-func newSolver(n *cluster.Node, be comm.Backend, net Net, par Params, py, pz int) *solver {
+func newSolver(n *cluster.Node, be comm.Backend, net comm.Net, par Params, py, pz int) *solver {
 	s := &solver{n: n, be: be, net: net, par: par, py: py, pz: pz}
 	s.cy = n.ID / pz
 	s.cz = n.ID % pz
@@ -287,7 +260,7 @@ func newSolver(n *cluster.Node, be comm.Backend, net Net, par Params, py, pz int
 	cells := par.NX * s.ly * s.lz
 	s.phi = make([]float64, par.Groups*cells)
 	s.phiOld = make([]float64, par.Groups*cells)
-	if net == DV {
+	if net == comm.DV {
 		s.setupDV()
 	}
 	return s

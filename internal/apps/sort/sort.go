@@ -23,19 +23,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation.
-	DV = comm.DV
-	// IB is the MPI implementation over InfiniBand.
-	IB = comm.IB
-)
-
 // Params configures a run.
 type Params struct {
 	Nodes       int
@@ -46,17 +33,6 @@ type Params struct {
 	KeepKeys bool
 	// CycleAccurate routes packets through the cycle-level switch.
 	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -90,7 +66,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Keys    int64
 	Elapsed sim.Time
@@ -119,7 +95,7 @@ func inputKeys(par Params, id int) []uint64 {
 }
 
 // Run executes the benchmark.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
 	res := Result{Net: net, Nodes: par.Nodes,
 		Keys: int64(par.Nodes) * int64(par.KeysPerNode)}
@@ -127,19 +103,16 @@ func Run(net Net, par Params) Result {
 		res.Output = make([][]uint64, par.Nodes)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:           net,
+		Nodes:         par.Nodes,
+		Seed:          par.Seed,
+		CycleAccurate: par.CycleAccurate,
+		DVPlanes:      par.DVPlanes,
+		PlanePolicy:   par.PlanePolicy,
+		IBScaled:      par.IBScaled,
+		Check:         par.Check,
+		Attr:          par.Attr,
+		Checkpoint:    par.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		elapsed, out := runNode(n, be, net, par)
 		if par.KeepKeys {
@@ -152,12 +125,12 @@ func Run(net Net, par Params) Result {
 	return res
 }
 
-func runNode(n *cluster.Node, be comm.Backend, net Net, par Params) (sim.Time, []uint64) {
+func runNode(n *cluster.Node, be comm.Backend, net comm.Net, par Params) (sim.Time, []uint64) {
 	p := par.Nodes
 	keys := inputKeys(par, n.ID)
 
 	var ex sorter
-	if net == DV {
+	if net == comm.DV {
 		ex = newDVSorter(n, be, par)
 	} else {
 		ex = &mpiSorter{n: n, be: be}

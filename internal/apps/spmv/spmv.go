@@ -30,19 +30,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Net selects the network variant.
-//
-// Deprecated: Net is an alias of comm.Net, the backend selector shared by
-// every workload; new code should use comm.Net directly.
-type Net = comm.Net
-
-const (
-	// DV is the Data Vortex implementation (query-packet gathers).
-	DV = comm.DV
-	// IB is the MPI implementation (owner-push ghost exchange).
-	IB = comm.IB
-)
-
 // Params configures a run.
 type Params struct {
 	Nodes      int
@@ -54,17 +41,6 @@ type Params struct {
 	KeepVector bool
 	// CycleAccurate routes packets through the cycle-level switch.
 	CycleAccurate bool
-	// ScalarBoundary selects the legacy one-event-per-packet VIC boundary
-	// (cross-checking knob; bit-identical to the batched default).
-	ScalarBoundary bool
-	// Workers selects the parallel kernel: 0 (the default) is the reference
-	// serial kernel; n >= 1 shards the event queue into per-VIC lanes and
-	// fans the cycle-accurate switch across n workers. Results are
-	// byte-identical at every width (see cluster.Config.Workers).
-	Workers int
-	// ParMinFlying gates the fanned switch step by in-flight occupancy
-	// (see cluster.Config.ParMinFlying).
-	ParMinFlying int
 	// DVPlanes runs the Data Vortex stack on N parallel switch planes
 	// behind the VIC boundary; PlanePolicy ("hash" or "rr") selects the
 	// deterministic plane assignment (see cluster.Config.DVPlanes).
@@ -101,7 +77,7 @@ func (p *Params) defaults() {
 
 // Result is one measurement.
 type Result struct {
-	Net     Net
+	Net     comm.Net
 	Nodes   int
 	Iters   int
 	Elapsed sim.Time
@@ -220,7 +196,7 @@ func SerialReference(par Params) []float64 {
 }
 
 // Run executes the benchmark.
-func Run(net Net, par Params) Result {
+func Run(net comm.Net, par Params) Result {
 	par.defaults()
 	if (int64(1)<<par.Scale)%int64(par.Nodes) != 0 {
 		panic(fmt.Sprintf("spmv: 2^%d rows not divisible over %d nodes", par.Scale, par.Nodes))
@@ -230,19 +206,16 @@ func Run(net Net, par Params) Result {
 		res.Vector = make([]float64, int64(1)<<par.Scale)
 	}
 	rep := apprt.Execute(apprt.RunSpec{
-		Net:            net,
-		Nodes:          par.Nodes,
-		Seed:           par.Seed,
-		CycleAccurate:  par.CycleAccurate,
-		ScalarBoundary: par.ScalarBoundary,
-		Workers:        par.Workers,
-		ParMinFlying:   par.ParMinFlying,
-		DVPlanes:       par.DVPlanes,
-		PlanePolicy:    par.PlanePolicy,
-		IBScaled:       par.IBScaled,
-		Check:          par.Check,
-		Attr:           par.Attr,
-		Checkpoint:     par.Checkpoint,
+		Net:           net,
+		Nodes:         par.Nodes,
+		Seed:          par.Seed,
+		CycleAccurate: par.CycleAccurate,
+		DVPlanes:      par.DVPlanes,
+		PlanePolicy:   par.PlanePolicy,
+		IBScaled:      par.IBScaled,
+		Check:         par.Check,
+		Attr:          par.Attr,
+		Checkpoint:    par.Checkpoint,
 	}, func(n *cluster.Node, be comm.Backend) sim.Time {
 		elapsed, ghost, x := runNode(n, be, net, par)
 		if n.ID == 0 {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/apps/gups"
+	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
@@ -38,7 +39,7 @@ func MetricsRun(opt Options) gups.Result {
 	if opt.Small {
 		par.UpdatesPerNode = 1 << 9
 	}
-	return gups.Run(gups.DV, par)
+	return gups.Run(comm.DV, par)
 }
 
 // Metrics runs MetricsRun and writes its three exports — JSONL time series,

@@ -6,6 +6,7 @@ import (
 	"repro/internal/apps/barrier"
 	"repro/internal/apps/gups"
 	"repro/internal/apps/heat"
+	"repro/internal/comm"
 	"repro/internal/faultplan"
 	"repro/internal/sim"
 )
@@ -76,7 +77,7 @@ func ExtReliability(opt Options) *Table {
 			if !path.reliable && rate > 0 {
 				par.WaitTimeout = 2 * sim.Millisecond
 			}
-			r := gups.Run(gups.DV, par)
+			r := gups.Run(comm.DV, par)
 			if !path.reliable && rate == 0 {
 				gupsBase = r.Elapsed
 			}
@@ -97,7 +98,7 @@ func ExtReliability(opt Options) *Table {
 			if !path.reliable && rate > 0 {
 				par.WaitTimeout = 50 * sim.Microsecond
 			}
-			r := heat.Run(heat.DV, par)
+			r := heat.Run(comm.DV, par)
 			if !path.reliable && rate == 0 {
 				heatBase = r.Elapsed
 			}

@@ -1,10 +1,13 @@
 // Native fuzz targets for the invariant layer. Two properties are fuzzed:
 //
 //   - FuzzSwitchInvariants: arbitrary traffic and fault probabilities driven
-//     through the sparse active-list stepper AND the dense full-fabric scan,
-//     each under its own checker. Both runs must finish violation-free with
-//     bit-identical telemetry — the differential oracle the sparse rewrite
-//     is held to.
+//     through the cycle-accurate engine wired the way a cluster wires it —
+//     kernel-scheduled inject batches through the checker's batch wrapper, a
+//     fault plan applied to the engine, deliveries through the checker's
+//     deliver wrapper. The checker must stay silent, account for every
+//     packet, and agree with the core's own telemetry. The dense-vs-sparse
+//     differential fuzz of the same name lives with the switch core in
+//     internal/dvswitch and shares this seed corpus.
 //   - FuzzReliableDelivery: a reliable write across a lossy cycle-accurate
 //     fabric, with the exactly-once and sequence invariants on. Whatever
 //     fate the fault RNG deals, the layer either delivers everything (and
@@ -17,7 +20,6 @@
 package check_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/check"
@@ -27,27 +29,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/vic"
 )
-
-// checkedCore builds one core (sparse or dense) with a full switch checker
-// on the sweep and both boundaries.
-type checkedCore struct {
-	core   *dvswitch.Core
-	chk    *check.Checker
-	inject func(dvswitch.Packet)
-}
-
-func newCheckedCore(p dvswitch.Params, dense bool, faultSeed uint64, fp dvswitch.FaultProbs) *checkedCore {
-	core := dvswitch.NewCore(p)
-	core.Dense = dense
-	if fp.Drop > 0 || fp.Corrupt > 0 {
-		core.SetFaultProbs(fp, sim.NewRNG(faultSeed))
-	}
-	chk := check.New(&check.Config{Switch: true})
-	deliver := chk.WrapDeliver(func(dvswitch.Packet) {})
-	core.Deliver = func(pkt dvswitch.Packet, cycle int64) { deliver(pkt) }
-	chk.AttachCore(core)
-	return &checkedCore{core: core, chk: chk, inject: chk.WrapInject(core.Inject)}
-}
 
 func FuzzSwitchInvariants(f *testing.F) {
 	f.Add(uint64(1), uint16(200), uint8(2), float64(0), float64(0))
@@ -61,43 +42,49 @@ func FuzzSwitchInvariants(f *testing.F) {
 		// Odd angle count guarantees drainage (see FuzzCoreFaultDelivery in
 		// dvswitch); heights sweep the minimum through a mid-size fabric.
 		p := dvswitch.Params{Heights: 2 << (geom % 3), Angles: 5}
-		fp := dvswitch.FaultProbs{Drop: drop, Corrupt: corrupt}
-		sparse := newCheckedCore(p, false, seed+1, fp)
-		dense := newCheckedCore(p, true, seed+1, fp)
+		k := sim.NewKernel()
+		eng := dvswitch.NewEngine(k, p, dvswitch.DefaultCycleTime)
+		eng.ApplyPlan(&faultplan.Plan{Seed: seed + 1, DropProb: drop, CorruptProb: corrupt})
+		chk := check.New(&check.Config{Switch: true})
+		chk.AttachCore(eng.Core())
+		var delivered int64
+		eng.OnDeliver(chk.WrapDeliver(func(dvswitch.Packet) { delivered++ }))
+		inject := chk.WrapInjectBatch(eng.InjectBatch)
 
+		// Batches of 1..8 packets, one kernel event per batch, spaced so the
+		// pump sees both idle gaps and back-to-back arrivals.
 		total := 20 + int(n)%1000
 		rng := sim.NewRNG(seed)
-		for i := 0; i < total; i++ {
-			pkt := dvswitch.Packet{
-				Src:     rng.Intn(p.Ports()),
-				Dst:     rng.Intn(p.Ports()),
-				Header:  uint64(i) + 1,
-				Payload: rng.Uint64(),
+		at := sim.Time(0)
+		for sent := 0; sent < total; {
+			batch := make([]dvswitch.Packet, min(1+rng.Intn(8), total-sent))
+			for i := range batch {
+				sent++
+				batch[i] = dvswitch.Packet{
+					Src:     rng.Intn(p.Ports()),
+					Dst:     rng.Intn(p.Ports()),
+					Header:  uint64(sent),
+					Payload: rng.Uint64(),
+				}
 			}
-			sparse.inject(pkt)
-			dense.inject(pkt)
-			if i%2 == 0 {
-				sparse.core.Step()
-				dense.core.Step()
-			}
+			k.At(at, func() { inject(batch) })
+			at += sim.Time(rng.Intn(4)) * dvswitch.DefaultCycleTime
 		}
-		sparse.core.RunUntilIdle(1 << 22)
-		dense.core.RunUntilIdle(1 << 22)
-		if sparse.core.Busy() || dense.core.Busy() {
+		k.Run()
+		if eng.Core().Busy() {
 			t.Fatal("fabric did not drain")
 		}
-		sres, dres := sparse.chk.Finalize(), dense.chk.Finalize()
-		if err := sres.Err(); err != nil {
-			t.Fatalf("sparse core violated invariants: %v", err)
+		res := chk.Finalize()
+		if err := res.Err(); err != nil {
+			t.Fatalf("engine violated invariants: %v", err)
 		}
-		if err := dres.Err(); err != nil {
-			t.Fatalf("dense core violated invariants: %v", err)
+		if res.PacketsTracked != int64(total) {
+			t.Fatalf("tracked %d packets, injected %d", res.PacketsTracked, total)
 		}
-		if sst, dst := sparse.core.Stats(), dense.core.Stats(); !reflect.DeepEqual(sst, dst) {
-			t.Fatalf("sparse/dense telemetry diverged:\nsparse: %+v\ndense:  %+v", sst, dst)
-		}
-		if sres.PacketsTracked != int64(total) {
-			t.Fatalf("tracked %d packets, injected %d", sres.PacketsTracked, total)
+		st := eng.FabricStats()
+		if st.Injected != int64(total) || st.Delivered != delivered || st.Delivered+st.Dropped != st.Injected {
+			t.Fatalf("telemetry does not balance: injected %d, delivered %d (seen %d), dropped %d",
+				st.Injected, st.Delivered, delivered, st.Dropped)
 		}
 	})
 }

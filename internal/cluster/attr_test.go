@@ -61,16 +61,13 @@ func TestAttrStageSumInvariant(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cycle bool
-		dense bool
 	}{
-		{"fast", false, false},
-		{"cycle-sparse", true, false},
-		{"cycle-dense", true, true},
+		{"fast", false},
+		{"cycle-sparse", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(4)
 			cfg.CycleAccurate = tc.cycle
-			cfg.DenseSwitch = tc.dense
 			cfg.Attr = &attr.Config{Sample: 1}
 			cfg.Check = check.All()
 			rep := Run(cfg, attrWorkload)

@@ -335,47 +335,3 @@ func TestFaultWindowRoundTrip(t *testing.T) {
 		})
 	}
 }
-
-// TestDenseSparseSnapshotIdentity: the dense and sparse cycle-accurate
-// steppers must produce byte-identical fabric state sections — the snapshot
-// encoding is canonical (dense-scan order) precisely so this holds.
-func TestDenseSparseSnapshotIdentity(t *testing.T) {
-	run := func(dense bool) ([]*snapshot.Snapshot, string) {
-		cfg := DefaultConfig(4)
-		cfg.CycleAccurate = true
-		cfg.DenseSwitch = dense
-		var snaps []*snapshot.Snapshot
-		cp := &Checkpoint{App: "ds", Net: "both", Every: 2 * sim.Microsecond,
-			Sink: func(s *snapshot.Snapshot) error { snaps = append(snaps, s); return nil }}
-		cfg.Checkpoint = cp
-		rep := Run(cfg, ckptBody)
-		if cp.Err != nil {
-			t.Fatalf("dense=%t run: %v", dense, cp.Err)
-		}
-		js := reportJSON(t, rep)
-		return snaps, js
-	}
-	sparse, sparseRep := run(false)
-	dense, denseRep := run(true)
-	if len(sparse) != len(dense) || len(sparse) == 0 {
-		t.Fatalf("snapshot counts differ: sparse %d, dense %d", len(sparse), len(dense))
-	}
-	for i := range sparse {
-		for _, name := range []string{"dvswitch", "vic", "dv", "rng", "ib"} {
-			a, okA := sparse[i].Section(name)
-			b, okB := dense[i].Section(name)
-			if okA != okB {
-				t.Fatalf("snapshot %d: section %s present=%t vs %t", i, name, okA, okB)
-			}
-			if string(a) != string(b) {
-				t.Errorf("snapshot %d: section %s differs between steppers (%d vs %d bytes)",
-					i, name, len(a), len(b))
-			}
-		}
-	}
-	// The Reports differ only through no field at all: elapsed times, stats,
-	// and telemetry are identical because the steppers are bit-identical.
-	if sparseRep != denseRep {
-		t.Errorf("dense and sparse Reports differ:\n%s\n%s", sparseRep, denseRep)
-	}
-}

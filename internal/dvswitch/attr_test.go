@@ -69,7 +69,7 @@ func TestHeatCensusMatchesStats(t *testing.T) {
 	p := Params{Heights: 8, Angles: 4}
 	for _, dense := range []bool{false, true} {
 		c := NewCore(p)
-		c.Dense = dense
+		SetDense(c, dense)
 		c.Deliver = func(Packet, int64) {}
 		h := &attr.Heat{Cylinders: p.Cylinders(), Angles: p.Angles,
 			Cells: make([]int64, p.Cylinders()*p.Angles)}

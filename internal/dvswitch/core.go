@@ -396,12 +396,13 @@ type Core struct {
 	// costs one pass over the fabric per Step.
 	CheckInvariants bool
 
-	// Dense routes Step through denseStep, the seed implementation's
-	// full-fabric scan. The two paths are bit-identical (same Stats, same
-	// delivery order, same fault-RNG consumption — enforced by the golden
-	// differential tests); Dense exists as the reference half of that
-	// comparison and as a build-time escape hatch (-tags dvswitch_dense).
-	Dense bool
+	// denseMin is the occupancy crossover: a Step with flying*2 >= denseMin
+	// runs denseStep, the seed implementation's full-fabric scan, instead of
+	// the bitmap walk. NewCore sets it to the cell count (half occupancy);
+	// the differential tests set it to 0 so every Step takes the dense scan
+	// they hold the sparse stepper to (same Stats, delivery order, and
+	// fault-RNG consumption).
+	denseMin int
 
 	// faulty marks dead switching nodes (fault-injection studies in the
 	// spirit of the reliability analyses the paper cites, refs [12][13]).
@@ -438,11 +439,6 @@ type Core struct {
 	// instrumented move loops, so cleanPath gates on it. Kept after stats
 	// so the hot counters keep their field offsets.
 	heat *attr.Heat
-
-	// par, when set (SetFanPool), lets clean-path cycles above an occupancy
-	// threshold fan their move phase across a worker pool — bit-identical to
-	// the serial step (see par.go).
-	par *parState
 }
 
 // NewCore builds a cycle-accurate switch. It panics on invalid Params
@@ -468,8 +464,8 @@ func NewCore(p Params) *Core {
 		inq:     make([]ring, p.Ports()),
 		qmask:   make([]uint64, (p.Ports()+63)/64),
 		tab:     make([]cellTab, n),
-		Dense:   denseByDefault,
 	}
+	c.denseMin = n
 	L := c.levels
 	for cl := 0; cl <= L; cl++ {
 		for h := 0; h < p.Heights; h++ {
@@ -648,21 +644,13 @@ func (c *Core) sigSet(idx int) bool {
 // (inner cylinders first, then height-major within a cylinder) exactly —
 // delivery order and fault-RNG draws are bit-identical to denseStep.
 func (c *Core) Step() {
-	if c.Dense {
-		c.denseStep()
-		return
-	}
-	if c.parEligible() {
-		c.parStep()
-		return
-	}
 	// Crossover: above ~half occupancy the bitmap walk saves nothing over
 	// just scanning every node (moveCell on an empty cell is a load and a
 	// branch). The dense scan visits nodes in exactly the order the bitmap
 	// iteration produces, so switching keeps the step bit-identical. flying
 	// equals the number of occupied cells (every in-flight packet occupies
 	// exactly one node).
-	if c.flying*2 >= len(c.grid) {
+	if c.flying*2 >= c.denseMin {
 		c.denseStep()
 		return
 	}
@@ -1052,9 +1040,8 @@ func (c *Core) finishStep() {
 // denseStep is the seed implementation's full-fabric scan: every node of
 // every cylinder is visited each cycle, occupied or not. It shares moveOne,
 // injectPhase, and finishStep with the sparse Step — the only difference is
-// the iteration source — and is kept as the reference half of the golden
-// differential tests (see diff_test.go) and as the dvswitch_dense build-tag
-// default.
+// the iteration source. Step crosses over to it above half occupancy, and it
+// is the reference half of the golden differential tests (see diff_test.go).
 func (c *Core) denseStep() {
 	if c.cleanPath() {
 		c.denseMovesClean()

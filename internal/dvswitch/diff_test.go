@@ -1,10 +1,12 @@
 package dvswitch
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 // The golden differential tests: the sparse active-list Step must be
@@ -78,9 +80,8 @@ func TestDifferentialDenseVsSparse(t *testing.T) {
 		for _, scenario := range []string{"uniform", "hotspot", "faulty"} {
 			t.Run(fmt.Sprintf("%s/H%dA%d", scenario, geom.Heights, geom.Angles), func(t *testing.T) {
 				dense := NewCore(geom)
-				dense.Dense = true
+				SetDense(dense, true)
 				sparse := NewCore(geom)
-				sparse.Dense = false
 				de := driveDiffTraffic(dense, scenario, cycles, 42)
 				se := driveDiffTraffic(sparse, scenario, cycles, 42)
 				if dense.Stats() != sparse.Stats() {
@@ -115,7 +116,7 @@ func TestDifferentialDenseVsSparse(t *testing.T) {
 func TestDifferentialLockstep(t *testing.T) {
 	geom := Params{Heights: 8, Angles: 4}
 	dense, sparse := NewCore(geom), NewCore(geom)
-	dense.Dense, sparse.Dense = true, false
+	SetDense(dense, true)
 	dense.CheckInvariants, sparse.CheckInvariants = true, true
 	var dDel, sDel []Packet
 	dense.Deliver = func(pkt Packet, _ int64) { dDel = append(dDel, pkt) }
@@ -168,6 +169,49 @@ func TestDifferentialLockstep(t *testing.T) {
 	}
 }
 
+// TestDenseSparseSnapshotIdentity: mid-run, the dense and sparse steppers
+// must serialise byte-identical core images — the snapshot encoding walks
+// the grid in dense-scan order precisely so this holds. Dead nodes and
+// probabilistic faults are on, so the dead-node set, the fault window, and
+// the fault-RNG position are part of every compared image.
+func TestDenseSparseSnapshotIdentity(t *testing.T) {
+	geom := Params{Heights: 8, Angles: 4}
+	dense, sparse := NewCore(geom), NewCore(geom)
+	SetDense(dense, true)
+	for _, c := range []*Core{dense, sparse} {
+		c.Deliver = func(Packet, int64) {}
+		c.SetFaulty(1, 3, 2, true)
+		c.SetFaultProbs(FaultProbs{Drop: 2e-3, Corrupt: 1e-3, StartCycle: 10}, sim.NewRNG(13))
+	}
+	image := func(c *Core) []byte {
+		e := snapshot.NewEncoder()
+		c.SnapshotTo(e)
+		return e.Bytes()
+	}
+	rng := sim.NewRNG(21)
+	for cy := 1; cy <= 600; cy++ {
+		for src := 0; src < geom.Ports(); src++ {
+			if rng.Float64() < 0.4 && dense.QueueLen(src) < 6 {
+				pkt := Packet{Src: src, Dst: rng.Intn(geom.Ports()), Header: uint64(cy), Payload: uint64(src)}
+				dense.Inject(pkt)
+				sparse.Inject(pkt)
+			}
+		}
+		dense.Step()
+		sparse.Step()
+		if cy%50 == 0 {
+			d, s := image(dense), image(sparse)
+			if !bytes.Equal(d, s) {
+				t.Fatalf("cycle %d: core images differ (dense %d bytes, sparse %d bytes)", cy, len(d), len(s))
+			}
+		}
+	}
+	if dense.InFlight() == 0 || dense.Stats().Dropped == 0 {
+		t.Fatalf("images taken on an idle or fault-free fabric (in flight %d, dropped %d); comparison vacuous",
+			dense.InFlight(), dense.Stats().Dropped)
+	}
+}
+
 // TestReentrantInjectDuringDeliver pins the pool-safety contract: a Deliver
 // callback may Inject immediately (as the kernel-coupled engine's VICs do),
 // reusing the just-freed slot, on both step implementations identically.
@@ -175,7 +219,7 @@ func TestReentrantInjectDuringDeliver(t *testing.T) {
 	for _, dense := range []bool{true, false} {
 		geom := Params{Heights: 8, Angles: 4}
 		c := NewCore(geom)
-		c.Dense = dense
+		SetDense(c, dense)
 		rng := sim.NewRNG(5)
 		bounces := 0
 		c.Deliver = func(pkt Packet, _ int64) {

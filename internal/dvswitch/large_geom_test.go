@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestValidateGeometryBounds pins the MaxGeometryCells bound at its
@@ -51,10 +49,10 @@ func TestValidateGeometryBounds(t *testing.T) {
 }
 
 // TestLargeGeometryDifferential routes traffic through the corrected 256-
-// and 1024-port geometries on all three steppers — sparse active-list,
-// dense reference scan, and the fanned parStep — with per-cycle invariant
-// sweeps enabled. Stats, event sequences, and cycle counts must agree
-// exactly, proving the encodings and the fan scale to the larger grids.
+// and 1024-port geometries on both steppers — sparse active-list and dense
+// reference scan — with per-cycle invariant sweeps enabled. Stats, event
+// sequences, and cycle counts must agree exactly, proving the encodings
+// scale to the larger grids.
 func TestLargeGeometryDifferential(t *testing.T) {
 	cycles := 120
 	if testing.Short() {
@@ -63,37 +61,28 @@ func TestLargeGeometryDifferential(t *testing.T) {
 	for _, n := range []int{256, 1024} {
 		p := ForPorts(n)
 		t.Run(fmt.Sprintf("H%dA%d", p.Heights, p.Angles), func(t *testing.T) {
-			run := func(mode string) (Stats, []diffEvent, int64) {
+			run := func(dense bool) (Stats, []diffEvent, int64) {
 				c := NewCore(p)
 				c.CheckInvariants = true
-				switch mode {
-				case "dense":
-					c.Dense = true
-				case "fan":
-					pool := sim.NewFanPool(4)
-					defer pool.Stop()
-					c.SetFanPool(pool, -1) // fan every cycle regardless of occupancy
-				}
+				SetDense(c, dense)
 				ev := driveDiffTraffic(c, "uniform", cycles, 42)
 				return c.Stats(), ev, c.Cycle()
 			}
-			sSt, sEv, sCy := run("sparse")
-			dSt, dEv, dCy := run("dense")
-			fSt, fEv, fCy := run("fan")
-			if sSt != dSt || sSt != fSt {
-				t.Errorf("stats diverge:\nsparse: %+v\ndense:  %+v\nfan:    %+v", sSt, dSt, fSt)
+			sSt, sEv, sCy := run(false)
+			dSt, dEv, dCy := run(true)
+			if sSt != dSt {
+				t.Errorf("stats diverge:\nsparse: %+v\ndense:  %+v", sSt, dSt)
 			}
-			if len(sEv) != len(dEv) || len(sEv) != len(fEv) {
-				t.Fatalf("event counts diverge: sparse %d, dense %d, fan %d", len(sEv), len(dEv), len(fEv))
+			if len(sEv) != len(dEv) {
+				t.Fatalf("event counts diverge: sparse %d, dense %d", len(sEv), len(dEv))
 			}
 			for i := range sEv {
-				if sEv[i] != dEv[i] || sEv[i] != fEv[i] {
-					t.Fatalf("event %d diverges:\nsparse: %+v\ndense:  %+v\nfan:    %+v",
-						i, sEv[i], dEv[i], fEv[i])
+				if sEv[i] != dEv[i] {
+					t.Fatalf("event %d diverges:\nsparse: %+v\ndense:  %+v", i, sEv[i], dEv[i])
 				}
 			}
-			if sCy != dCy || sCy != fCy {
-				t.Errorf("cycle counts diverge: sparse %d, dense %d, fan %d", sCy, dCy, fCy)
+			if sCy != dCy {
+				t.Errorf("cycle counts diverge: sparse %d, dense %d", sCy, dCy)
 			}
 			if sSt.Delivered == 0 {
 				t.Error("large geometry delivered nothing; differential vacuous")

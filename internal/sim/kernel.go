@@ -11,14 +11,9 @@ import (
 // schedule without allocating a capturing closure (see Kernel.AtArg).
 // Daemon events (AtDaemon) do not keep the simulation alive: once only
 // daemons remain queued, Run stops without firing them.
-//
-// lane is the event's home lane (see SetLaneCount): the scheduler keeps one
-// queue per lane and merges lane heads in (at, seq) order, so the lane is a
-// pure queue-placement hint — it never changes when an event fires.
 type event struct {
 	at     Time
 	seq    uint64
-	lane   int32
 	daemon bool
 	fn     func()
 	fnArg  func(any)
@@ -48,8 +43,8 @@ func entLess(a, b heapEnt) bool {
 // hand-rolled (rather than container/heap) because the scheduler push/pop pair
 // is the per-event cost floor of every hot path — FastModel deliveries, VIC
 // injections, engine pump cycles — and the interface dispatch of
-// heap.Interface roughly triples it. It now serves as the mini-heap inside
-// each calendar-queue bucket and the overflow store (see calQ).
+// heap.Interface roughly triples it. It serves as the mini-heap inside each
+// calendar-queue bucket and the overflow store (see calQ).
 type eventHeap []heapEnt
 
 func (h *eventHeap) push(e *event) {
@@ -97,25 +92,17 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// Kernel is the discrete-event scheduler. Pending events are sharded across
-// per-lane calendar queues (one lane by default; see SetLaneCount) whose
-// heads merge in global (at, seq) order, so the fire sequence — and
-// everything derived from it — is identical at any lane count. Scheduling
-// calls are not safe for concurrent use: exactly one simulated process (or
-// the kernel itself) runs at any moment. The only concurrency the kernel
-// owns is the Fan worker pool (see SetWorkers), which runs strictly inside a
-// single event callback.
+// Kernel is the discrete-event scheduler. Pending events wait in one
+// calendar queue (calQ) that pops them in (at, seq) order. Scheduling calls
+// are not safe for concurrent use: exactly one simulated process (or the
+// kernel itself) runs at any moment.
 type Kernel struct {
 	now   Time
 	seq   uint64
-	nEv   int // total queued events across lanes
 	nUser int // queued non-daemon events; Run stops when this hits zero
 
-	lanes    []*calQ
-	heads    laneHeap // lane-head merge heap; maintained only when len(lanes) > 1
-	curLane  int32    // home lane inherited by newly scheduled events
-	grain    Time     // calendar-queue bucket width (0 until set/defaulted)
-	grainSet bool     // SetTimeGrain called explicitly (hints no longer apply)
+	q        *calQ
+	grainSet bool // SetTimeGrain called explicitly (hints no longer apply)
 
 	freeEv []*event // fired events, reused by the next At/AtArg
 
@@ -126,23 +113,18 @@ type Kernel struct {
 	procs    []*Proc
 	nlive    int
 	draining bool
-
-	workers int
-	pool    *FanPool
 }
 
-// NewKernel returns an empty kernel at time zero with a single lane.
+// NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{yield: make(chan struct{})}
-	k.lanes = []*calQ{newCalQ(k.grain)}
-	return k
+	return &Kernel{yield: make(chan struct{}), q: newCalQ(0)}
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// newEvent returns a pooled (or fresh) event stamped with time t, the next
-// sequence number, and the current home lane.
+// newEvent returns a pooled (or fresh) event stamped with time t and the
+// next sequence number.
 func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: %v < %v", t, k.now))
@@ -156,61 +138,16 @@ func (k *Kernel) newEvent(t Time) *event {
 		e = &event{}
 	}
 	e.at, e.seq, e.daemon = t, k.seq, false
-	e.lane = k.curLane
-	return e
-}
-
-// schedule enqueues e on its home lane and keeps the lane-head merge heap
-// consistent.
-func (k *Kernel) schedule(e *event) {
-	k.nEv++
-	q := k.lanes[e.lane]
-	q.push(e)
-	if len(k.lanes) > 1 {
-		// The lane's head key can only have decreased (or the lane just
-		// became non-empty), which is exactly what update handles.
-		ent, _ := q.peek()
-		k.heads.update(e.lane, ent.at, ent.seq)
-	}
-}
-
-// peekMin returns the key of the globally earliest queued event.
-func (k *Kernel) peekMin() (heapEnt, bool) {
-	if k.nEv == 0 {
-		return heapEnt{}, false
-	}
-	if len(k.lanes) == 1 {
-		return k.lanes[0].peek()
-	}
-	return k.lanes[k.heads.top()].peek()
-}
-
-// popMin removes and returns the globally earliest queued event.
-func (k *Kernel) popMin() *event {
-	k.nEv--
-	if len(k.lanes) == 1 {
-		return k.lanes[0].pop()
-	}
-	l := k.heads.top()
-	q := k.lanes[l]
-	e := q.pop()
-	if ent, ok := q.peek(); ok {
-		k.heads.reseatTop(ent.at, ent.seq)
-	} else {
-		k.heads.removeTop()
-	}
 	return e
 }
 
 // fire runs one popped event, returning it to the pool first so the callback
 // may immediately schedule again without growing the queue's backing store.
-// The event's home lane becomes the current lane for anything it schedules.
 func (k *Kernel) fire(e *event) {
 	fn, fnArg, arg := e.fn, e.fnArg, e.arg
 	if !e.daemon {
 		k.nUser--
 	}
-	k.curLane = e.lane
 	e.fn, e.fnArg, e.arg = nil, nil, nil
 	k.freeEv = append(k.freeEv, e)
 	if fn != nil {
@@ -225,7 +162,7 @@ func (k *Kernel) At(t Time, fn func()) {
 	e := k.newEvent(t)
 	e.fn = fn
 	k.nUser++
-	k.schedule(e)
+	k.q.push(e)
 }
 
 // AtDaemon schedules fn at absolute time t like At, but the event does not
@@ -237,7 +174,7 @@ func (k *Kernel) AtDaemon(t Time, fn func()) {
 	e := k.newEvent(t)
 	e.fn = fn
 	e.daemon = true
-	k.schedule(e)
+	k.q.push(e)
 }
 
 // AtArg schedules fn(arg) at absolute time t (>= now). Unlike At, the
@@ -248,27 +185,7 @@ func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
 	e := k.newEvent(t)
 	e.fnArg, e.arg = fn, arg
 	k.nUser++
-	k.schedule(e)
-}
-
-// AtLane is At with an explicit home lane, for callers whose scheduling
-// context differs from the component the event belongs to — e.g. the engine
-// pump is pinned to the fabric lane no matter which node's inject armed it.
-func (k *Kernel) AtLane(lane int, t Time, fn func()) {
-	e := k.newEvent(t)
-	e.fn = fn
-	e.lane = int32(lane)
-	k.nUser++
-	k.schedule(e)
-}
-
-// AtArgLane is AtArg with an explicit home lane (see AtLane).
-func (k *Kernel) AtArgLane(lane int, t Time, fn func(any), arg any) {
-	e := k.newEvent(t)
-	e.fnArg, e.arg = fn, arg
-	e.lane = int32(lane)
-	k.nUser++
-	k.schedule(e)
+	k.q.push(e)
 }
 
 // After schedules fn to run d from now.
@@ -289,7 +206,6 @@ type abortSignal struct{}
 type Proc struct {
 	k      *Kernel
 	name   string
-	lane   int32
 	resume chan bool // value: false => aborted
 	live   bool
 }
@@ -303,15 +219,10 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Lane returns the process's home lane, inherited from the lane current at
-// Spawn. All of the process's wake-up events are scheduled on it.
-func (p *Proc) Lane() int { return int(p.lane) }
-
 // Spawn creates a process that will start executing fn at the current
-// virtual time (once Run is pumping events). The process's home lane is the
-// lane current at the Spawn call (see WithLane).
+// virtual time (once Run is pumping events).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, lane: k.curLane, resume: make(chan bool), live: true}
+	p := &Proc{k: k, name: name, resume: make(chan bool), live: true}
 	k.procs = append(k.procs, p)
 	k.nlive++
 	k.At(k.now, func() {
@@ -366,7 +277,7 @@ func (p *Proc) Wait(d Time) {
 		return
 	}
 	k := p.k
-	k.AtArgLane(int(p.lane), k.now+d, fireResume, p)
+	k.AtArg(k.now+d, fireResume, p)
 	p.park()
 }
 
@@ -391,7 +302,7 @@ func (p *Proc) WaitUntil(t Time) {
 // event already queued for this instant run first.
 func (p *Proc) Yield() {
 	k := p.k
-	k.AtArgLane(int(p.lane), k.now, fireResume, p)
+	k.AtArg(k.now, fireResume, p)
 	p.park()
 }
 
@@ -400,7 +311,7 @@ func (p *Proc) Yield() {
 // queue are discarded unfired. It returns the final virtual time.
 func (k *Kernel) Run() Time {
 	for k.nUser > 0 {
-		e := k.popMin()
+		e := k.q.pop()
 		k.now = e.at
 		k.fire(e)
 	}
@@ -414,11 +325,11 @@ func (k *Kernel) Run() Time {
 // it stops early once only daemon events remain (leaving them queued).
 func (k *Kernel) RunUntil(limit Time) Time {
 	for k.nUser > 0 {
-		ent, ok := k.peekMin()
+		ent, ok := k.q.peek()
 		if !ok || ent.at > limit {
 			break
 		}
-		e := k.popMin()
+		e := k.q.pop()
 		k.now = e.at
 		k.fire(e)
 	}
@@ -433,11 +344,11 @@ func (k *Kernel) RunUntil(limit Time) Time {
 func (k *Kernel) RunUntilN(limit Time, n int) int {
 	fired := 0
 	for fired < n && k.nUser > 0 {
-		ent, ok := k.peekMin()
+		ent, ok := k.q.peek()
 		if !ok || ent.at > limit {
 			break
 		}
-		e := k.popMin()
+		e := k.q.pop()
 		k.now = e.at
 		k.fire(e)
 		fired++
@@ -454,16 +365,14 @@ func (k *Kernel) PendingUser() int { return k.nUser }
 // across idle stretches of the boundary grid.
 func (k *Kernel) NextUserEvent() (Time, bool) {
 	best, found := Time(0), false
-	for _, q := range k.lanes {
-		q.forEach(func(e *event) {
-			if e.daemon {
-				return
-			}
-			if !found || e.at < best {
-				best, found = e.at, true
-			}
-		})
-	}
+	k.q.forEach(func(e *event) {
+		if e.daemon {
+			return
+		}
+		if !found || e.at < best {
+			best, found = e.at, true
+		}
+	})
 	return best, found
 }
 
@@ -472,13 +381,11 @@ func (k *Kernel) NextUserEvent() (Time, bool) {
 // queue length. Event callbacks are closures and cannot be serialized;
 // because event sequence numbers are assigned deterministically, the
 // fingerprint still pins the queue's identity across a deterministic replay.
-// The canonical order makes the digest lane-merge-invariant: how events are
-// sharded across lanes (or arranged within a lane's calendar) never shows.
+// The canonical order makes the digest arrangement-invariant: how events sit
+// in the calendar's buckets (which depends on the time grain) never shows.
 func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
-	evs := make([]*event, 0, k.nEv)
-	for _, q := range k.lanes {
-		q.forEach(func(e *event) { evs = append(evs, e) })
-	}
+	evs := make([]*event, 0, k.q.len())
+	k.q.forEach(func(e *event) { evs = append(evs, e) })
 	slices.SortFunc(evs, func(a, b *event) int {
 		if a.at != b.at {
 			if a.at < b.at {
@@ -533,8 +440,8 @@ func (k *Kernel) Finish() Time {
 // discardDaemons empties the queue of the daemon events that survived the
 // last non-daemon event, returning them to the pool unfired.
 func (k *Kernel) discardDaemons() {
-	for k.nEv > 0 {
-		e := k.popMin()
+	for k.q.len() > 0 {
+		e := k.q.pop()
 		if !e.daemon {
 			k.nUser--
 		}
@@ -543,7 +450,7 @@ func (k *Kernel) discardDaemons() {
 	}
 }
 
-// drain force-aborts every parked live process and stops the worker pool.
+// drain force-aborts every parked live process.
 func (k *Kernel) drain() {
 	k.draining = true
 	for _, p := range k.procs {
@@ -552,7 +459,6 @@ func (k *Kernel) drain() {
 		}
 	}
 	k.procs = nil
-	k.stopPool()
 }
 
 // LiveProcs returns the number of processes that have not finished.

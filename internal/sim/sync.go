@@ -61,7 +61,7 @@ func (g *Gate) WaitTimeout(p *Proc, d Time) bool {
 	}
 	w := &gateWaiter{p: p, g: g}
 	g.waiters = append(g.waiters, w)
-	p.k.AtArgLane(int(p.lane), p.k.now+d, fireGateTimeout, w)
+	p.k.AtArg(p.k.now+d, fireGateTimeout, w)
 	p.park()
 	return !w.timed
 }
@@ -76,10 +76,7 @@ func (g *Gate) remove(w *gateWaiter) {
 }
 
 // Signal releases the oldest waiter (if any). The wakeup is delivered as an
-// event at the current time, preserving deterministic ordering. It is
-// scheduled on the waiter's home lane — a signal may come from any lane (a
-// fabric delivery waking a node's queue pop), but the wakeup belongs to the
-// parked process.
+// event at the current time, preserving deterministic ordering.
 func (g *Gate) Signal(k *Kernel) {
 	for len(g.waiters) > 0 {
 		w := g.waiters[0]
@@ -88,7 +85,7 @@ func (g *Gate) Signal(k *Kernel) {
 			continue
 		}
 		w.woken = true
-		k.AtArgLane(int(w.p.lane), k.now, fireGateWake, w)
+		k.AtArg(k.now, fireGateWake, w)
 		return
 	}
 }
@@ -102,7 +99,7 @@ func (g *Gate) Broadcast(k *Kernel) {
 			continue
 		}
 		w.woken = true
-		k.AtArgLane(int(w.p.lane), k.now, fireGateWake, w)
+		k.AtArg(k.now, fireGateWake, w)
 	}
 }
 

@@ -2,10 +2,7 @@ package vic
 
 // Boundary microbenchmarks: the VIC-side cost of moving packets across the
 // inject and eject seams, isolated from switch-model time by a counting sink
-// fabric. Each benchmark has a Scalar twin that runs the legacy
-// one-kernel-event-per-packet path, so `go test -bench VIC` is a built-in
-// batched-vs-scalar differential: the pair must agree on packets moved (the
-// lockstep tests pin bit-identity; the benchmarks pin the speedup).
+// fabric.
 
 import (
 	"testing"
@@ -17,19 +14,18 @@ import (
 const benchBurst = 512 // words per HostSend / packets per delivery burst
 
 // benchInjectVIC wires one VIC to a sink fabric that only counts packets.
-func benchInjectVIC(scalar bool) (*sim.Kernel, *VIC, *int) {
+func benchInjectVIC() (*sim.Kernel, *VIC, *int) {
 	k := sim.NewKernel()
 	sunk := new(int)
 	v := New(k, 0, 0, DefaultParams(), func(dvswitch.Packet) { *sunk++ })
-	v.SetScalarBoundary(scalar)
-	if !scalar {
-		v.SetBatchInject(func(pkts []dvswitch.Packet) { *sunk += len(pkts) })
-	}
+	v.SetBatchInject(func(pkts []dvswitch.Packet) { *sunk += len(pkts) })
 	return k, v, sunk
 }
 
-func benchVICInject(b *testing.B, scalar bool) {
-	k, v, sunk := benchInjectVIC(scalar)
+// BenchmarkVICInject measures a 512-word cached-DMA HostSend over the
+// batched boundary (one inject event per DMA chunk).
+func BenchmarkVICInject(b *testing.B) {
+	k, v, sunk := benchInjectVIC()
 	words := make([]Word, benchBurst)
 	for i := range words {
 		words[i] = Word{Dst: 0, Op: OpWrite, GC: NoGC, Addr: uint32(i), Val: uint64(i)}
@@ -49,16 +45,10 @@ func benchVICInject(b *testing.B, scalar bool) {
 	}
 }
 
-// BenchmarkVICInject measures a 512-word cached-DMA HostSend over the
-// batched boundary (one inject event per DMA chunk).
-func BenchmarkVICInject(b *testing.B) { benchVICInject(b, false) }
-
-// BenchmarkVICInjectScalar is the same send over the legacy scalar boundary
-// (one inject event per word) — the differential baseline.
-func BenchmarkVICInjectScalar(b *testing.B) { benchVICInject(b, true) }
-
-func benchVICEject(b *testing.B, scalar bool) {
-	k, v, _ := benchInjectVIC(scalar)
+// BenchmarkVICEject measures delivery of a 512-packet burst through the
+// batched eject path (pooled receive events).
+func BenchmarkVICEject(b *testing.B) {
+	k, v, _ := benchInjectVIC()
 	pkts := make([]dvswitch.Packet, benchBurst)
 	for i := range pkts {
 		pkts[i] = dvswitch.Packet{
@@ -85,11 +75,3 @@ func benchVICEject(b *testing.B, scalar bool) {
 		b.Fatal("deliveries did not execute")
 	}
 }
-
-// BenchmarkVICEject measures delivery of a 512-packet burst through the
-// batched eject path (pooled receive events).
-func BenchmarkVICEject(b *testing.B) { benchVICEject(b, false) }
-
-// BenchmarkVICEjectScalar is the same burst through the legacy
-// closure-per-packet eject path — the differential baseline.
-func BenchmarkVICEjectScalar(b *testing.B) { benchVICEject(b, true) }

@@ -2,12 +2,13 @@ package vic
 
 // Snapshot guarantees for the batched-boundary state: the double-buffered
 // surprise FIFO, pooled inject batches, and pooled receive events must be
-// invisible in checkpoint images. Two cross-checks pin that: (a) a batched
-// testbed and a scalar testbed driven through the same workload produce
-// byte-identical VIC snapshots at every sampled mid-drain instant, and (b)
-// snapshots of two identical batched runs match instant for instant, so the
-// pooled buffers never leak run-local state into an image (round trip via
-// the replay-verify restore model).
+// invisible in checkpoint images. Two cross-checks pin that: (a) a testbed
+// whose VICs hand each inject batch to the switch in one InjectBatch call and
+// a scalar testbed whose VICs fall back to one Engine.Inject call per packet
+// produce byte-identical VIC snapshots at every sampled mid-drain instant,
+// and (b) snapshots of two identical batched runs match instant for instant,
+// so the pooled buffers never leak run-local state into an image (round trip
+// via the replay-verify restore model).
 
 import (
 	"bytes"
@@ -47,14 +48,14 @@ func boundaryWorkload(tb *testbed) {
 }
 
 // snapshotSeries runs the workload on a fresh testbed and captures every
-// VIC's snapshot at a fixed grid of virtual instants.
+// VIC's snapshot at a fixed grid of virtual instants. A scalar testbed
+// installs no batched fabric entry, so the VICs inject packet by packet.
 func snapshotSeries(scalar bool) [][]byte {
 	k := sim.NewKernel()
 	eng := dvswitch.NewEngine(k, dvswitch.ForPorts(4), dvswitch.DefaultCycleTime)
 	tb := &testbed{k: k, vics: make([]*VIC, 4)}
 	for i := 0; i < 4; i++ {
 		tb.vics[i] = New(k, i, i, DefaultParams(), eng.Inject)
-		tb.vics[i].SetScalarBoundary(scalar)
 		if !scalar {
 			tb.vics[i].SetBatchInject(eng.InjectBatch)
 		}
@@ -87,7 +88,7 @@ func TestBoundarySnapshotScalarBatchedIdentical(t *testing.T) {
 	}
 	for i := range batched {
 		if !bytes.Equal(batched[i], scalar[i]) {
-			t.Fatalf("snapshot %d differs between batched and scalar boundaries "+
+			t.Fatalf("snapshot %d differs between batched and scalar fabric entries "+
 				"(%d vs %d bytes)", i, len(batched[i]), len(scalar[i]))
 		}
 	}
@@ -101,7 +102,7 @@ func TestBoundarySnapshotRoundTrip(t *testing.T) {
 	}
 	for i := range a {
 		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("snapshot %d not reproducible across identical batched runs", i)
+			t.Fatalf("snapshot %d not reproducible across identical runs", i)
 		}
 	}
 }

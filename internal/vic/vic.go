@@ -110,12 +110,6 @@ type VIC struct {
 	// mut plants deliberate defects for checker validation (SetMutation).
 	mut Mutation
 
-	// scalar selects the legacy one-kernel-event-per-packet boundary instead
-	// of the batched pipeline (SetScalarBoundary). The two are bit-identical
-	// in results — pinned by differential tests — so the scalar path survives
-	// only as the executable reference the batched path is checked against.
-	scalar bool
-
 	// Pooled payloads for the batched boundary: send batches, receive
 	// executions, and FIFO-drain completions recycle through free lists so
 	// the steady-state hot path schedules kernel events without allocating.
@@ -137,9 +131,9 @@ type VIC struct {
 
 // injectBatch carries every packet of one boundary crossing — a DMA chunk
 // landing, a PIO word, or a query reply — into a single kernel event. The
-// packets are injected in slice order, which is exactly the order the legacy
-// per-packet events (same timestamp, consecutive sequence numbers) fired in,
-// so batching is invisible in results.
+// packets are injected in slice order, which is exactly the order per-packet
+// events (same timestamp, consecutive sequence numbers) would fire in, so
+// batching is invisible in results.
 type injectBatch struct {
 	v    *VIC
 	pkts []dvswitch.Packet
@@ -285,8 +279,8 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 	case PIO, PIOCached:
 		// Doorbell, then each packet crosses the PCIe lane back to back.
 		// Words cross one at a time, so each needs its own injection event
-		// (the completion times differ); the batched path pools the event
-		// payloads where the scalar path allocates a closure per word.
+		// (the completion times differ); the event payloads are pooled, so
+		// no word allocates a closure.
 		p.Wait(v.par.PIOLatency)
 		for _, w := range words {
 			var fl uint32
@@ -297,11 +291,7 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 			if v.attr != nil {
 				v.attr.Stamp(fl, attr.StageHostTx, done)
 			}
-			if v.scalar {
-				v.injectAt(done, w, fl)
-			} else {
-				v.injectBatchAt(done, w, fl)
-			}
+			v.injectBatchAt(done, w, fl)
 		}
 	case DMA, DMACached:
 		p.Wait(v.par.PIOLatency)
@@ -320,33 +310,20 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 			}
 			n := end - base
 			done := v.dmaIn.Occupy(p, sim.BytesAt(n*bytesPer, v.par.DMABW))
-			if v.scalar {
-				// Legacy boundary: one kernel event (and closure) per word.
-				for _, w := range words[base:end] {
-					var fl uint32
-					if v.attr != nil {
-						fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
-						v.attr.Stamp(fl, attr.StageHostTx, done)
-					}
-					v.injectAt(done, w, fl)
+			// The whole chunk lands on one kernel event: every word of it
+			// completes at the same instant, so injecting the chunk in order
+			// from a single event is the same as one event per word.
+			b := v.newBatch()
+			for _, w := range words[base:end] {
+				var fl uint32
+				if v.attr != nil {
+					fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
+					v.attr.Stamp(fl, attr.StageHostTx, done)
 				}
-			} else {
-				// Batched boundary: the whole chunk lands on one kernel
-				// event. The legacy events all carried the same timestamp
-				// with consecutive sequence numbers, so injecting the chunk
-				// in order from a single event fires identically.
-				b := v.newBatch()
-				for _, w := range words[base:end] {
-					var fl uint32
-					if v.attr != nil {
-						fl = v.attr.Begin(v.ID, w.Dst, kindForOp(w.Op), issue)
-						v.attr.Stamp(fl, attr.StageHostTx, done)
-					}
-					b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Header: w.header(), Payload: w.Val, Flow: fl})
-					b.dsts = append(b.dsts, w.Dst)
-				}
-				v.k.AtArg(done+v.par.ProcDelay, fireInjectBatch, b)
+				b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Header: w.header(), Payload: w.Val, Flow: fl})
+				b.dsts = append(b.dsts, w.Dst)
 			}
+			v.k.AtArg(done+v.par.ProcDelay, fireInjectBatch, b)
 		}
 	default:
 		panic(fmt.Sprintf("vic: unknown send mode %d", mode))
@@ -354,7 +331,7 @@ func (v *VIC) HostSend(p *sim.Proc, mode SendMode, words []Word) {
 }
 
 // injectBatchAt schedules a single-packet pooled batch at time t (plus the
-// VIC's processing delay): injectAt without the per-word closure allocation.
+// VIC's processing delay).
 func (v *VIC) injectBatchAt(t sim.Time, w Word, flow uint32) {
 	b := v.newBatch()
 	b.pkts = append(b.pkts, dvswitch.Packet{Src: v.Port, Header: w.header(), Payload: w.Val, Flow: flow})
@@ -393,14 +370,9 @@ func (v *VIC) SetPortResolver(fn func(vicID int) int) { v.portOf = fn }
 
 // SetBatchInject installs the batched fabric entry point: one call injects a
 // whole boundary batch, in order, instead of one inject call per packet. When
-// unset, batch events fall back to per-packet calls of the scalar inject.
+// unset, batch events fall back to per-packet calls of the inject function
+// passed to New.
 func (v *VIC) SetBatchInject(fn func(pkts []dvswitch.Packet)) { v.injectB = fn }
-
-// SetScalarBoundary selects the legacy one-kernel-event-per-packet boundary
-// (true) instead of the batched pipeline (false, the default). Results are
-// bit-identical either way — the scalar path is kept as the executable
-// reference for the boundary differential tests.
-func (v *VIC) SetScalarBoundary(scalar bool) { v.scalar = scalar }
 
 // DMARead pulls n words starting at addr from DV Memory into host memory,
 // blocking until the DMA completes. It returns a copy of the words.
@@ -622,23 +594,16 @@ func (v *VIC) pushSurprise(src int, val uint64, flow uint32) {
 // drainFIFO is the background DMA process moving surprise packets into the
 // host-side circular buffer. The whole backlog crosses as one amortized DMA
 // transfer (one reservation, one completion event, one PCIe accounting line),
-// and on the batched boundary the on-VIC buffer double-buffers with the
-// previously drained one so steady-state draining never allocates.
+// and the on-VIC buffer double-buffers with the previously drained one so
+// steady-state draining never allocates.
 func (v *VIC) drainFIFO() {
 	batch := v.fifo
 	var flows []uint32
-	if v.scalar {
-		v.fifo = nil
-		if v.attr != nil {
-			flows, v.fifoFlows = v.fifoFlows, nil
-		}
-	} else {
-		v.fifo = v.fifoSpare[:0]
-		v.fifoSpare = nil
-		if v.attr != nil {
-			flows, v.fifoFlows = v.fifoFlows, v.flowSpare[:0]
-			v.flowSpare = nil
-		}
+	v.fifo = v.fifoSpare[:0]
+	v.fifoSpare = nil
+	if v.attr != nil {
+		flows, v.fifoFlows = v.fifoFlows, v.flowSpare[:0]
+		v.flowSpare = nil
 	}
 	if len(batch) == 0 {
 		v.drainArmed = false
@@ -656,22 +621,6 @@ func (v *VIC) drainFIFO() {
 				flows[i], flows[j] = flows[j], flows[i]
 			}
 		}
-	}
-	if v.scalar {
-		v.k.At(done, func() {
-			for i, w := range batch {
-				v.hostFIFO.Push(v.k, w)
-				if v.attr != nil && i < len(flows) {
-					v.attr.Complete(flows[i], v.k.Now())
-				}
-			}
-			if len(v.fifo) > 0 {
-				v.k.After(v.par.FIFODrainDelay, v.drainFIFO)
-			} else {
-				v.drainArmed = false
-			}
-		})
-		return
 	}
 	d := v.newDrain()
 	d.batch = batch
@@ -709,10 +658,6 @@ func (v *VIC) Receive(pkt dvswitch.Packet) {
 		if v.attr != nil {
 			v.attr.Drop(pkt.Flow)
 		}
-		return
-	}
-	if v.scalar {
-		v.k.After(v.par.ProcDelay, func() { v.execute(pkt) })
 		return
 	}
 	e := v.newRx()
@@ -795,10 +740,6 @@ func (v *VIC) execute(pkt dvswitch.Packet) {
 			replyFlow = v.attr.Begin(v.ID, dstVIC, attr.KindQuery, v.k.Now())
 		}
 		reply := dvswitch.Packet{Src: v.Port, Header: pkt.Payload, Payload: v.mem.read(addr), Flow: replyFlow}
-		if v.scalar {
-			v.k.After(v.par.ProcDelay, func() { v.injectNow(reply, dstVIC) })
-			return
-		}
 		b := v.newBatch()
 		b.pkts = append(b.pkts, reply)
 		b.dsts = append(b.dsts, dstVIC)
