@@ -106,18 +106,13 @@ type Kernel struct {
 
 	freeEv []*event // fired events, reused by the next At/AtArg
 
-	// yield is signalled by a process when it parks or exits, handing
-	// control back to the kernel loop.
-	yield chan struct{}
-
-	procs    []*Proc
-	nlive    int
-	draining bool
+	procs []*Proc // every spawned process, for drain
+	nlive int
 }
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{}), q: newCalQ(0)}
+	return &Kernel{q: newCalQ(0)}
 }
 
 // Now returns the current virtual time.
@@ -197,117 +192,8 @@ func (k *Kernel) AfterDaemon(d Time, fn func()) { k.AtDaemon(k.now+d, fn) }
 // AfterArg schedules fn(arg) to run d from now (see AtArg).
 func (k *Kernel) AfterArg(d Time, fn func(any), arg any) { k.AtArg(k.now+d, fn, arg) }
 
-// abortSignal is panicked into parked processes during drain so their
-// goroutines unwind and exit.
-type abortSignal struct{}
-
-// Proc is a simulated process: a goroutine that the kernel resumes one at a
-// time. All blocking methods must be called from the process's own goroutine.
-type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan bool // value: false => aborted
-	live   bool
-}
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
-
-// Spawn creates a process that will start executing fn at the current
-// virtual time (once Run is pumping events).
-func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan bool), live: true}
-	k.procs = append(k.procs, p)
-	k.nlive++
-	k.At(k.now, func() {
-		go func() {
-			defer func() {
-				p.live = false
-				k.nlive--
-				if r := recover(); r != nil {
-					if _, ok := r.(abortSignal); ok {
-						k.yield <- struct{}{}
-						return
-					}
-					panic(r)
-				}
-				k.yield <- struct{}{}
-			}()
-			if ok := <-p.resume; !ok {
-				panic(abortSignal{})
-			}
-			fn(p)
-		}()
-		p.transfer()
-	})
-	return p
-}
-
-// transfer hands control to p and waits until it parks or exits.
-// Must be called from the kernel goroutine (inside an event callback).
-func (k *Kernel) resumeProc(p *Proc, ok bool) {
-	p.resume <- ok
-	<-k.yield
-}
-
-// transfer is resumeProc(p, true) — used right after goroutine start.
-func (p *Proc) transfer() { p.k.resumeProc(p, true) }
-
-// park blocks the process until the kernel resumes it. Returns normally on
-// resume; panics with abortSignal when the kernel is draining.
-func (p *Proc) park() {
-	p.k.yield <- struct{}{}
-	if ok := <-p.resume; !ok {
-		panic(abortSignal{})
-	}
-}
-
-// Wait advances the process by d of virtual time.
-func (p *Proc) Wait(d Time) {
-	if d < 0 {
-		panic("sim: negative wait")
-	}
-	if d == 0 {
-		return
-	}
-	k := p.k
-	k.AtArg(k.now+d, fireResume, p)
-	p.park()
-}
-
-// fireResume is the pooled wake-up payload for Wait/Yield: scheduling the
-// parked Proc itself through AtArg keeps the single hottest blocking
-// primitive in the simulator closure-free (one heap closure per Wait adds
-// up to the dominant allocation in traffic-heavy runs).
-func fireResume(a any) {
-	p := a.(*Proc)
-	p.k.resumeProc(p, true)
-}
-
-// WaitUntil blocks the process until absolute time t (no-op if in the past).
-func (p *Proc) WaitUntil(t Time) {
-	if t <= p.k.now {
-		return
-	}
-	p.Wait(t - p.k.now)
-}
-
-// Yield reschedules the process at the current time, letting every other
-// event already queued for this instant run first.
-func (p *Proc) Yield() {
-	k := p.k
-	k.AtArg(k.now, fireResume, p)
-	p.park()
-}
-
 // Run pumps events until no non-daemon events remain, then aborts any
-// still-parked processes so their goroutines exit. Daemon events left in the
+// still-parked processes so their coroutines finish. Daemon events left in the
 // queue are discarded unfired. It returns the final virtual time.
 func (k *Kernel) Run() Time {
 	for k.nUser > 0 {
@@ -426,11 +312,9 @@ func (k *Kernel) QueueFingerprint() (n int, fp uint64) {
 }
 
 // Finish ends a stepped run: any still-queued events (user and daemon alike)
-// are discarded unfired and every parked process is aborted so its goroutine
-// exits. After Finish the kernel must not be pumped again. Callers must have
-// pumped at least one batch of events first (Spawn creates process goroutines
-// lazily inside a time-zero event; draining before that event has fired would
-// abort a process that never started).
+// are discarded unfired and every parked process is aborted so its coroutine
+// finishes; a process that never started is marked finished unrun. After
+// Finish the kernel must not be pumped again.
 func (k *Kernel) Finish() Time {
 	k.discardDaemons()
 	k.drain()
@@ -449,17 +333,3 @@ func (k *Kernel) discardDaemons() {
 		k.freeEv = append(k.freeEv, e)
 	}
 }
-
-// drain force-aborts every parked live process.
-func (k *Kernel) drain() {
-	k.draining = true
-	for _, p := range k.procs {
-		if p.live {
-			k.resumeProc(p, false)
-		}
-	}
-	k.procs = nil
-}
-
-// LiveProcs returns the number of processes that have not finished.
-func (k *Kernel) LiveProcs() int { return k.nlive }
